@@ -23,7 +23,7 @@ FILE``) for conservation, deadlock-freedom and payload-mode staging;
 ``conformance`` runs the canonical workloads through all three cost
 backends and fails on ranking inversions or drift (artifacts land in
 ``results/conformance.{txt,json}``); ``optgap`` divides every irregular
-scheduler's measured makespans by the flow/LP lower bounds and fails if
+scheduler's measured makespans by the endpoint/cut lower bound and fails if
 any gap dips below 1.0 (artifacts land in ``results/optgap.{txt,json}``).
 
 Observability: ``trace`` runs one seeded exchange under the tracer and
@@ -575,7 +575,12 @@ def _load_plan_file(path: str):
 
 
 def _parse_fault_plan(args: argparse.Namespace):
-    """Build a FaultPlan from the CLI's fault options."""
+    """Build a FaultPlan from the CLI's fault options.
+
+    A flag value that does not parse, or parses to an out-of-range
+    field, is a :class:`CLIError` (one ``error: …`` line, exit 2), the
+    same as a bad ``--plan FILE``.
+    """
     from .faults import (
         FaultPlan,
         LinkDegrade,
@@ -586,23 +591,37 @@ def _parse_fault_plan(args: argparse.Namespace):
 
     if args.plan is not None:
         return _load_plan_file(args.plan)
-    faults = []
-    for spec in args.straggler or ():
-        rank, _, factor = spec.partition(":")
-        faults.append(NodeStraggler(int(rank), float(factor or 8.0)))
-    for spec in args.degrade or ():
+
+    def parsed(flag, form, spec, build):
         try:
-            level, index, factor = spec.split(":")
+            return build(spec)
         except ValueError as exc:
-            raise SystemExit(
-                f"--degrade wants LEVEL:INDEX:FACTOR, got {spec!r}"
-            ) from exc
-        faults.append(LinkDegrade(int(level), int(index), float(factor)))
+            raise CLIError(f"{flag} wants {form}, got {spec!r}: {exc}") from None
+
+    def straggler(spec):
+        rank, _, factor = spec.partition(":")
+        return NodeStraggler(int(rank), float(factor or 8.0))
+
+    def degrade(spec):
+        level, index, factor = spec.split(":")
+        return LinkDegrade(int(level), int(index), float(factor))
+
+    def delay(spec):
+        prob, _, seconds = spec.partition(":")
+        return MessageDelay(float(prob), float(seconds or 500e-6))
+
+    faults = [
+        parsed("--straggler", "RANK[:FACTOR]", spec, straggler)
+        for spec in args.straggler or ()
+    ]
+    faults += [
+        parsed("--degrade", "LEVEL:INDEX:FACTOR", spec, degrade)
+        for spec in args.degrade or ()
+    ]
     if args.drop:
-        faults.append(MessageDrop(args.drop))
+        faults.append(parsed("--drop", "PROB in [0, 1]", args.drop, MessageDrop))
     if args.delay:
-        prob, _, seconds = args.delay.partition(":")
-        faults.append(MessageDelay(float(prob), float(seconds or 500e-6)))
+        faults.append(parsed("--delay", "PROB[:SECONDS]", args.delay, delay))
     if not faults:
         # Default demo: one 8x straggler mid-machine plus light loss.
         faults = [NodeStraggler(5, 8.0), MessageDrop(0.02)]

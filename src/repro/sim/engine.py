@@ -31,7 +31,6 @@ from __future__ import annotations
 import gc
 import itertools
 import operator
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -149,12 +148,8 @@ class Engine:
         self.net = FluidNetwork(
             self.tree, seed=seed, link_scales=self.faults.link_scales
         )
-        #: Bulk completion pop, resolved once: substitute network
-        #: implementations (the equivalence tests' reference network)
-        #: may only provide the per-FlowState pop_completed.
-        self._pop_completed_keys = getattr(
-            self.net, "pop_completed_keys", None
-        ) or (lambda t: [f.key for f in self.net.pop_completed(t)])
+        #: Bulk completion pop, bound once (hot path).
+        self._pop_completed_keys = self.net.pop_completed_keys
         self.tracer = tracer
         #: Cause dict for the resume that will close a rank's open op;
         #: set just before scheduling the resume, popped in _resume.
@@ -209,9 +204,6 @@ class Engine:
         #: Optional hook called as ``on_death(rank, now)`` right after a
         #: rank is torn down (the resilience layer's failure detector).
         self.on_death: Optional[Callable[[int, float], None]] = None
-        #: Batched per-instant drain (the default); the env knob selects
-        #: the reference one-pop-per-event drain for equivalence tests.
-        self._batched_drain = not os.environ.get("REPRO_SINGLE_POP_DRAIN")
 
     # ==================================================================
     # Public API
@@ -230,7 +222,6 @@ class Engine:
 
         queue = self.queue
         heap = queue._heap  # hot loop: peeks inline, pops via pop_batch
-        batched = self._batched_drain
         # The loop allocates heavily (events, lambdas, in-flight records)
         # but creates no cycles the collector could free mid-run; pausing
         # generational GC avoids repeated full-heap scans over the
@@ -257,18 +248,9 @@ class Engine:
                 # heap order — (time, seq), FIFO among simultaneous
                 # events — is preserved exactly, and cascades scheduled
                 # by the batch land in a later batch of the same instant.
-                if batched:
-                    while heap and heap[0][0] <= threshold:
-                        _, batch = queue.pop_batch()
-                        for cb in batch:
-                            cb()
-                else:
-                    # Reference single-pop drain
-                    # (REPRO_SINGLE_POP_DRAIN=1): kept for the
-                    # batched-vs-single equivalence regression test, not
-                    # used in production.
-                    while heap and heap[0][0] <= threshold:
-                        _, cb = queue.pop()
+                while heap and heap[0][0] <= threshold:
+                    _, batch = queue.pop_batch()
+                    for cb in batch:
                         cb()
                 self._arm_network_event()
         finally:

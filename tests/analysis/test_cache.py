@@ -89,3 +89,15 @@ class TestLoadHardening:
         cache.get_or_compute("k", lambda: 1.0)
         leftovers = [p for p in tmp_path.iterdir() if p.name != "c.json"]
         assert leftovers == []
+
+
+class TestHermeticDefault:
+    def test_default_cache_resolves_under_session_dir(self, sim_cache_dir):
+        """The suite's shared cache never lands in the working tree."""
+        from repro.analysis import default_cache
+
+        cache = default_cache()
+        cache.get_or_compute("hermetic-probe", lambda: 1.0)
+        written = sim_cache_dir / "results.json"
+        assert written.exists()
+        assert "hermetic-probe" in json.loads(written.read_text())

@@ -17,18 +17,6 @@ from repro.analysis.experiments import (
 )
 from repro.schedules import CommPattern
 
-pytestmark = pytest.mark.usefixtures("isolated_cache")
-
-
-@pytest.fixture
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    import repro.analysis.cache as cache_mod
-
-    monkeypatch.setattr(cache_mod, "_DEFAULT", None)
-    yield
-
-
 class TestScalars:
     def test_exchange_time_positive_and_cached(self):
         t1 = exchange_time("pairwise", 8, 256)

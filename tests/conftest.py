@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import repro.analysis.cache as cache_mod
 from repro.machine import CM5Params, MachineConfig
+
+
+@pytest.fixture(scope="session", autouse=True)
+def sim_cache_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    """Keep the whole run off the working tree's ``.sim_cache/``.
+
+    Session-scoped so it is in place before any fixture of any scope
+    (class-scoped sweeps included) touches the default cache.
+    """
+    root = tmp_path_factory.mktemp("sim_cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(root))
+        mp.setattr(cache_mod, "_DEFAULT", None)
+        yield root
 
 
 @pytest.fixture(scope="session")

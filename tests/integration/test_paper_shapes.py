@@ -20,15 +20,6 @@ from repro.machine import MachineConfig
 from repro.schedules import CommPattern
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    import repro.analysis.cache as cache_mod
-
-    monkeypatch.setattr(cache_mod, "_DEFAULT", None)
-    yield
-
-
 class TestCompleteExchangeShapes:
     """Figure 5 and Figure 6 claims at 32 nodes."""
 

@@ -10,11 +10,9 @@ from repro.schedules import (
     CommPattern,
     bisection_bound,
     endpoint_bound,
-    lp_bound,
     makespan_lower_bound,
     schedule_irregular,
 )
-from repro.schedules.bound import simplex_min_max
 from repro.schedules.coloring import coloring_schedule
 
 
@@ -101,49 +99,11 @@ class TestBisectionBound:
         assert a == b
 
 
-class TestLPBound:
-    def test_lp_equals_max_of_families(self, params):
-        pat = CommPattern.synthetic(16, 0.4, 256, seed=7)
-        cfg = MachineConfig(16, params)
-        ep, _ = endpoint_bound(pat, cfg)
-        bi, _ = bisection_bound(pat, cfg)
-        # Fixed routing: the LP collapses to the congestion bound.
-        assert lp_bound(pat, cfg) == pytest.approx(max(ep, bi), rel=1e-9)
-
-    def test_numpy_fallback_matches_scipy(self, params, monkeypatch):
-        pat = CommPattern.synthetic(16, 0.4, 256, seed=7)
-        cfg = MachineConfig(16, params)
-        with_scipy = lp_bound(pat, cfg)
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        without = lp_bound(pat, cfg)
-        assert without == pytest.approx(with_scipy, rel=1e-9)
-
-    def test_empty_pattern_lp_is_zero(self, params):
-        pat = CommPattern(np.zeros((4, 4), dtype=np.int64))
-        assert lp_bound(pat, MachineConfig(4, params)) == 0.0
-
-
-class TestSimplexMinMax:
-    def test_matches_max(self):
-        loads = np.array([3.0, 1.0, 4.0, 1.5])
-        assert simplex_min_max(loads) == 4.0
-
-    def test_unsorted_and_duplicates(self):
-        assert simplex_min_max(np.array([2.0, 2.0, 0.5])) == 2.0
-
-    def test_singleton_and_empty(self):
-        assert simplex_min_max(np.array([7.25])) == 7.25
-        assert simplex_min_max(np.array([])) == 0.0
-
-
 class TestCombinedBound:
     def test_breakdown_is_consistent(self, params):
         pat = CommPattern.synthetic(32, 0.5, 256, seed=42)
         bound = makespan_lower_bound(pat, MachineConfig(32, params))
-        assert bound.seconds == pytest.approx(
-            max(bound.endpoint, bound.bisection)
-        )
-        assert bound.lp == pytest.approx(bound.seconds, rel=1e-9)
+        assert bound.seconds == max(bound.endpoint, bound.bisection)
         assert bound.binding in ("endpoint", "bisection")
         assert "bound" in bound.describe()
 

@@ -1,9 +1,10 @@
 """Byte-identity regression tests for the batched event-core drain.
 
 The engine's hot loop drains every event of an instant in one batch
-(``EventQueue.pop_batch``) instead of popping one callback at a time;
-``REPRO_SINGLE_POP_DRAIN=1`` selects the single-pop reference drain.
-These tests pin the tentpole contract: the two drains — and the C
+(``EventQueue.pop_batch``) instead of popping one callback at a time.
+The single-pop reference drain is the same loop with ``pop_batch``
+monkeypatched to pop exactly one event per call (:func:`_single_pop`).
+These tests pin the contract: the two drains — and the C
 kernel vs the NumPy fallback — produce byte-identical traces, including
 the nasty corner where two events are separated by exactly
 ``_TIME_ATOL`` (the batching threshold is inclusive, so both land in
@@ -21,6 +22,21 @@ from repro.cmmd import run_spmd
 from repro.machine import CM5Params, MachineConfig
 from repro.schedules import execute_schedule, pairwise_exchange
 from repro.sim.engine import _TIME_ATOL
+from repro.sim.events import EventQueue
+
+
+def _single_pop(monkeypatch):
+    """Turn the engine's batched drain into the one-pop-per-event oracle.
+
+    Each ``pop_batch`` call pops only the earliest event, so the drain
+    loop peeks and pops once per event — the pre-batching engine.
+    """
+
+    def pop_one(self, atol=0.0):
+        t, cb = self.pop()
+        return t, [cb]
+
+    monkeypatch.setattr(EventQueue, "pop_batch", pop_one)
 
 
 def _pex32_digest():
@@ -32,9 +48,8 @@ def _pex32_digest():
 
 def test_batched_vs_single_pop_pex32(monkeypatch):
     """The reference single-pop drain yields byte-identical traces."""
-    monkeypatch.delenv("REPRO_SINGLE_POP_DRAIN", raising=False)
     batched = _pex32_digest()
-    monkeypatch.setenv("REPRO_SINGLE_POP_DRAIN", "1")
+    _single_pop(monkeypatch)
     single_pop = _pex32_digest()
     assert batched == single_pop
 
@@ -55,9 +70,8 @@ def test_atol_separated_events_drain_identically(monkeypatch):
         yield Delay(_TIME_ATOL)
 
     cfg = MachineConfig(4, CM5Params(routing_jitter=0.0))
-    monkeypatch.delenv("REPRO_SINGLE_POP_DRAIN", raising=False)
     a = run_spmd(cfg, prog, trace=True)
-    monkeypatch.setenv("REPRO_SINGLE_POP_DRAIN", "1")
+    _single_pop(monkeypatch)
     b = run_spmd(cfg, prog, trace=True)
     assert a.trace.event_stream() == b.trace.event_stream()
     assert repr(a.makespan) == repr(b.makespan)

@@ -7,15 +7,6 @@ import pytest
 from repro.cli import main
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    import repro.analysis.cache as cache_mod
-
-    monkeypatch.setattr(cache_mod, "_DEFAULT", None)
-    yield
-
-
 class TestCLI:
     def test_schedules_prints_paper_tables(self, capsys):
         assert main(["schedules"]) == 0
@@ -267,7 +258,7 @@ class TestOptgapCommand:
         import json
 
         doc = json.loads(js.read_text())
-        assert doc["schema"] == "repro-optgap/1"
+        assert doc["schema"] == "repro-optgap/2"
         assert doc["ok"] is True
 
 
@@ -423,6 +414,22 @@ class TestChaosCLI:
         assert main([command, "--plan", str(plan), "--quick"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "malformed" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--straggler", "3:abc"],
+            ["--straggler", "x:1"],
+            ["--drop", "1.5"],
+            ["--degrade", "1:0"],
+            ["--degrade", "1:0:-2"],
+        ],
+    )
+    def test_invalid_fault_flag_exits_2(self, capsys, flags):
+        assert main(["faults", "--quick", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]} wants ")
+        assert "\n" not in err.rstrip("\n")
 
 
 class TestMetricsCommand:
