@@ -18,12 +18,23 @@ It deliberately ignores cross-step pipelining (a fast pair starting its
 next step early) and routing jitter, so it is an *approximation*, not a
 bound; the tests check it tracks the simulator within a modest factor
 across the paper's workloads, and that it ranks LEX/PEX correctly.
+
+Evaluation is table-driven because the ``local`` search prices tens of
+thousands of candidate steps per build.  Every rate in a step depends
+only on small integers — a route's level, and how many distinct
+endpoints share an upper link — so the per-(level, load) link caps are
+tabulated once per (machine, parameters) pair in one bounded cache, and
+link loads are integer counts.  The result is bit-identical to pricing
+each link from scratch: every float comes from the same expression with
+the same operand order, and per-rank sums accumulate in transfer order.
+``tests/schedules/test_estimate.py`` keeps the from-scratch loop as its
+oracle and asserts exact equality.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..machine.params import (
     CM5Params,
@@ -35,74 +46,147 @@ from .schedule import Schedule, Step
 
 __all__ = ["estimate_schedule_time", "estimate_step_time"]
 
-LinkKey = Tuple[int, int, str]  # (level, subtree index, direction)
+
+class _Tables(NamedTuple):
+    """Every per-step constant of one (machine, parameters) pair."""
+
+    #: ``limit[level][load]``: the rate cap a link at ``level`` shared by
+    #: ``load`` concurrent endpoints imposes on each of them.
+    limit: Tuple[Tuple[float, ...], ...]
+    #: ``bandwidth[level]``: per-node bandwidth of a route topping out there.
+    bandwidth: Tuple[float, ...]
+    zero_byte_latency: float
+    recv_overhead: float
+    memcpy_bandwidth: float
 
 
-def _link_loads(step: Step, config: MachineConfig) -> Dict[LinkKey, int]:
-    """Concurrent transfers through each upper fat-tree link this step.
+def _route_level(src: int, dst: int) -> int:
+    """:meth:`MachineConfig.route_level` for in-range ranks, in O(1).
 
-    Concurrency is bounded by endpoints, not message counts: a sender
-    injects one message at a time and a receiver drains one at a time
-    (the synchronous rendezvous), so a link's concurrent load is the
-    number of *distinct* senders below it (up direction) or distinct
-    receivers below it (down direction).  This is what keeps the
-    estimator honest on the linear family, whose N-1 messages per step
-    share a single serialized receiver.
+    Each fat-tree level consumes two bits of the rank (arity 4), so the
+    lowest common switch sits one level above the highest base-4 digit,
+    past the leaf cluster's, in which the ranks differ.
     """
-    endpoints: Dict[LinkKey, set] = defaultdict(set)
-    for t in step:
-        top = config.route_level(t.src, t.dst)
-        s, d = t.src, t.dst
+    return 1 + (((src ^ dst) >> 2).bit_length() + 1) // 2
+
+
+@lru_cache(maxsize=32)
+def _tables(config: MachineConfig, params: CM5Params) -> _Tables:
+    """Tabulate the link-rate caps for every (level, load) a step can hit.
+
+    A link at ``level`` sits above ``ARITY**(level-1)`` leaves, so no
+    step loads it beyond that many endpoints (nor beyond the partition).
+    The cap is the link's capacity profile degraded by the capped
+    contention penalty, shared evenly among its ``load`` endpoints.
+    """
+    top = _route_level(0, config.nprocs - 1)
+    limit: List[Tuple[float, ...]] = [(), ()]
+    for level in range(2, top + 1):
+        leaves = FAT_TREE_ARITY ** (level - 1)
+        row = []
+        for load in range(min(leaves, config.nprocs) + 1):
+            penalty = min(
+                1.0 + params.switch_contention * max(load - 1, 0),
+                params.contention_cap,
+            )
+            capacity = leaves * params.level_bandwidth(level) / penalty
+            row.append(capacity / max(load, 1))
+        limit.append(tuple(row))
+    return _Tables(
+        limit=tuple(limit),
+        bandwidth=(0.0,)
+        + tuple(params.level_bandwidth(level) for level in range(1, top + 1)),
+        zero_byte_latency=params.zero_byte_latency,
+        recv_overhead=params.recv_overhead,
+        memcpy_bandwidth=params.memcpy_bandwidth,
+    )
+
+
+def _link_loads(
+    highest: Dict[int, int], nprocs: int, nlevels: int
+) -> List[Optional[List[int]]]:
+    """Distinct endpoints below each link: ``loads[level][subtree]``.
+
+    ``highest`` maps an endpoint to its highest route level in the step;
+    it is counted on its subtree's link at every level from 2 up to it.
+    """
+    loads: List[Optional[List[int]]] = [None, None]
+    for level in range(2, nlevels):
+        loads.append([0] * (nprocs >> 2 * (level - 1)))
+    for node, top in highest.items():
         for level in range(2, top + 1):
-            s //= FAT_TREE_ARITY
-            d //= FAT_TREE_ARITY
-            endpoints[(level, s, "up")].add(t.src)
-            endpoints[(level, d, "down")].add(t.dst)
-    return {k: len(v) for k, v in endpoints.items()}
+            loads[level][node >> 2 * (level - 1)] += 1
+    return loads
 
 
 def estimate_step_time(
     step: Step, config: MachineConfig, params: Optional[CM5Params] = None
 ) -> float:
-    """Analytic cost of one step: max over processors of sequential work."""
+    """Analytic cost of one step: max over processors of sequential work.
+
+    A transfer's wire rate is its route level's bandwidth, capped by
+    every upper link it crosses.  Concurrency on a link is bounded by
+    endpoints, not message counts: a sender injects one message at a
+    time and a receiver drains one at a time (the synchronous
+    rendezvous), so a link's load is the number of *distinct* senders
+    below it (up direction) or distinct receivers below it (down
+    direction).  This is what keeps the estimator honest on the linear
+    family, whose N-1 messages per step share a single serialized
+    receiver.
+    """
     params = params or config.params
-    loads = _link_loads(step, config)
+    limit, bandwidth, zbl, recv_overhead, memcpy_bw = _tables(config, params)
+    nprocs = config.nprocs
 
-    def subtree(node: int, level: int) -> int:
-        return node // (FAT_TREE_ARITY ** (level - 1))
-
-    per_proc: Dict[int, float] = defaultdict(float)
-    recv_count: Dict[int, int] = defaultdict(int)
+    # Each endpoint's highest route level: it occupies the links of
+    # every level from 2 up to that one.
+    up_top: Dict[int, int] = {}
+    down_top: Dict[int, int] = {}
     for t in step:
-        top = config.route_level(t.src, t.dst)
-        rate = params.level_bandwidth(top)
+        src, dst = t.src, t.dst
+        if not (0 <= src < nprocs and 0 <= dst < nprocs):
+            config.route_level(src, dst)  # raises the partition's error
+        top = _route_level(src, dst)
+        if top > 1:
+            if up_top.get(src, 1) < top:
+                up_top[src] = top
+            if down_top.get(dst, 1) < top:
+                down_top[dst] = top
+
+    up_load = _link_loads(up_top, nprocs, len(limit))
+    down_load = _link_loads(down_top, nprocs, len(limit))
+
+    # Per-rank sequential work, accumulated in transfer order.
+    per_proc: Dict[int, float] = {}
+    received = set()
+    for t in step:
+        src, dst = t.src, t.dst
+        top = _route_level(src, dst)
+        rate = bandwidth[top]
         for level in range(2, top + 1):
-            for node, dirn in ((t.src, "up"), (t.dst, "down")):
-                load = loads.get((level, subtree(node, level), dirn), 1)
-                penalty = min(
-                    1.0 + params.switch_contention * max(load - 1, 0),
-                    params.contention_cap,
-                )
-                capacity = (
-                    FAT_TREE_ARITY ** (level - 1)
-                    * params.level_bandwidth(level)
-                    / penalty
-                )
-                rate = min(rate, capacity / max(load, 1))
+            shift = 2 * (level - 1)
+            row = limit[level]
+            cap = row[up_load[level][src >> shift]]
+            if cap < rate:
+                rate = cap
+            cap = row[down_load[level][dst >> shift]]
+            if cap < rate:
+                rate = cap
         wire = wire_bytes(t.nbytes) / rate
         # The pack memcpy happens on the sender, the unpack on the
         # receiver; charging the sum to both ends double-counts the
         # store-and-forward reshuffle (REX pays it twice over).
-        pack = params.memcpy_time(t.pack_bytes)
-        unpack = params.memcpy_time(t.unpack_bytes)
-        per_proc[t.src] += params.zero_byte_latency + wire + pack
+        pack = t.pack_bytes / memcpy_bw
+        unpack = t.unpack_bytes / memcpy_bw
+        per_proc[src] = per_proc.get(src, 0.0) + (zbl + wire + pack)
         # A serialized receiver overlaps later senders' setup with its
         # own drain: messages after the first cost service + wire only.
-        recv_count[t.dst] += 1
-        if recv_count[t.dst] == 1:
-            per_proc[t.dst] += params.zero_byte_latency + wire + unpack
+        if dst in received:
+            cost = recv_overhead + wire + unpack
         else:
-            per_proc[t.dst] += params.recv_overhead + wire + unpack
+            received.add(dst)
+            cost = zbl + wire + unpack
+        per_proc[dst] = per_proc.get(dst, 0.0) + cost
     return max(per_proc.values(), default=0.0)
 
 

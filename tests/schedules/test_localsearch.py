@@ -1,8 +1,11 @@
 """Tests for the local-search refinement scheduler ("local")."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.apps.workloads import paper_workload
 from repro.machine import CM5Params, MachineConfig
 from repro.schedules import (
     CommPattern,
@@ -79,6 +82,55 @@ class TestSearchBehavior:
 
     def test_custom_name(self, pat16):
         assert local_schedule(pat16, name="LS+").name == "LS+"
+
+    def test_pricing_machine_too_small_is_rejected_up_front(self):
+        pat = CommPattern.synthetic(32, 0.25, 256, seed=42)
+        with pytest.raises(ValueError) as err:
+            local_schedule(pat, config=MachineConfig(16))
+        msg = str(err.value)
+        assert "16 nodes" in msg and "32-rank pattern" in msg
+        assert "\n" not in msg
+
+    def test_larger_pricing_machine_is_accepted(self, pat16):
+        s = local_schedule(pat16, config=MachineConfig(32))
+        check_covers_pattern(s, pat16)
+
+
+def _steps_digest(schedule) -> str:
+    """sha256 over each step's (src, dst, nbytes) triples, in order."""
+    h = hashlib.sha256()
+    for step in schedule.steps:
+        h.update(repr(tuple((t.src, t.dst, t.nbytes) for t in step)).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+#: label -> (pattern, sha256 of ``local``'s steps at N=32).
+_PINNED = {
+    "t11_d25_b256": (
+        lambda: CommPattern.synthetic(32, 0.25, 256, seed=42),
+        "cacf733c6f76cf149c3325b8c057f5642d2d61639cd8ed19c77240f61921c269",
+    ),
+    "t11_d75_b512": (
+        lambda: CommPattern.synthetic(32, 0.75, 512, seed=42),
+        "203c16bf4a6e9357e9e396f4cb04753f081741e91cd077c069c159d2be2e6c3d",
+    ),
+    "euler545": (
+        lambda: paper_workload("euler545", 32).pattern,
+        "17e9885310d5fca54aae442d188fde64146223d8f94eac8e5274a90987a7f7ab",
+    ),
+}
+
+
+class TestPinnedOutput:
+    """``local`` at N=32 on Table 11 / Table 12 patterns, pinned step by
+    step: any change to the estimator's floats or the search's order of
+    visits moves these digests."""
+
+    @pytest.mark.parametrize("label", list(_PINNED))
+    def test_local_schedule_digest(self, label):
+        make, digest = _PINNED[label]
+        assert _steps_digest(local_schedule(make())) == digest
 
 
 class TestRegistry:
