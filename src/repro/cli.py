@@ -38,8 +38,10 @@ snapshot (``--format prom|json``, ``--check`` validates); ``profile``
 attributes the engine hot loop per message (``--mode phases``) or emits
 collapsed-stack flamegraph samples (``--mode sample``).
 
-Exit status: 0 success, 1 check failure (lint / conformance / perfcmp),
-2 usage error (bad ``--algorithm``/``--nprocs``, unreadable files).
+Exit status: 0 success, 1 check failure (lint / conformance / perfcmp /
+optgap / a ``chaos`` or ``serve-chaos`` invariant), 2 usage error (bad
+``--algorithm``/``--nprocs``, unreadable files, fault targets the
+machine does not have).
 """
 
 from __future__ import annotations
@@ -628,6 +630,31 @@ def _parse_fault_plan(args: argparse.Namespace):
     return FaultPlan(tuple(faults), seed=args.fault_seed)
 
 
+def _check_plan_targets(plan, nprocs: int) -> None:
+    """Reject fault targets an ``nprocs``-node machine does not have.
+
+    :class:`~repro.faults.FaultModel` skips out-of-range ranks and links
+    so one plan can serve a machine-size sweep; a command that runs the
+    plan on one fixed machine would silently run healthy instead.
+    """
+    from .machine import MachineConfig
+    from .machine.fattree import fat_tree_for
+
+    for f in plan.stragglers + plan.node_failures:
+        if f.rank >= nprocs:
+            raise CLIError(
+                f"fault plan targets rank {f.rank}, but the run has "
+                f"{nprocs} nodes (ranks 0..{nprocs - 1})"
+            )
+    links = fat_tree_for(MachineConfig(nprocs)).links
+    for f in plan.link_degrades:
+        if ("up", f.level, f.index) not in links:
+            raise CLIError(
+                f"fault plan degrades link L{f.level}#{f.index}, which the "
+                f"{nprocs}-node fat tree does not have"
+            )
+
+
 def cmd_faults(args: argparse.Namespace) -> None:
     """Degraded-mode demo: healthy vs faulty vs repaired schedules.
 
@@ -652,6 +679,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
     nbytes = 256 if args.quick else 512
     cfg = MachineConfig(n, CM5Params(routing_jitter=0.0))
     plan = _parse_fault_plan(args)
+    _check_plan_targets(plan, n)
     print(f"fault plan: {plan.describe()}  (seed {plan.seed}, {n} nodes)")
     print(f"{'algorithm':<10} {'healthy':>10} {'faulty':>10} {'repaired':>10} {'retries':>8}")
     builders = [
@@ -687,38 +715,36 @@ def cmd_chaos(args: argparse.Namespace) -> None:
     makespan bounds, and byte-identical replay on every run.  Results
     land in ``results/chaos.{txt,json}``.  ``--quick`` runs the
     CI-sized 20-run grid; ``--plan FILE`` probes one specific plan
-    through the same invariant battery instead.
+    through the same invariant battery instead.  Exits 1 on any
+    invariant violation.
     """
-    from .resilience import probe_plan, render_chaos, run_campaign, write_chaos
+    from .campaign import conclude, fail
+    from .resilience import probe_plan, run_campaign
 
     if args.plan is not None:
+        nprocs = 16
         plan = _load_plan_file(args.plan)
-        run = probe_plan(plan)
+        _check_plan_targets(plan, nprocs)
+        run = probe_plan(plan, nprocs)
         print(f"plan: {plan.describe()}  (seed {plan.seed})")
         print(
             f"N={run.nprocs} {run.algorithm}: makespan "
             f"{run.makespan * 1e3:.3f} ms (healthy {run.healthy * 1e3:.3f} ms,"
             f" bound {run.bound * 1e3:.3f} ms)"
         )
-        if not run.ok:
-            raise CLIError(
-                "invariant violations: " + "; ".join(run.violations)
-            )
+        if run.violations:
+            fail("invariant violations: " + "; ".join(run.violations))
         print("all invariants held")
         return
     if args.jobs < 0:
         raise CLIError(f"--jobs must be >= 0, got {args.jobs}")
     report = run_campaign(
-        quick=args.quick, seed_base=args.fault_seed, jobs=args.jobs
+        quick=args.quick,
+        seed_base=args.fault_seed,
+        progress=print,
+        jobs=args.jobs,
     )
-    txt, js = write_chaos(report, "results")
-    print(render_chaos(report))
-    print(f"[chaos report written to {txt} and {js}]")
-    if not report.ok:
-        raise CLIError(
-            f"{len(report.violations)} of {report.total} chaos runs "
-            "violated invariants"
-        )
+    conclude(report, "results")
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> None:
@@ -807,13 +833,11 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
     ``--fault-seed`` offsets the scenario seeds.  Results land in
     ``results/service_chaos.{txt,json}`` plus a merged
     ``repro-metrics/1`` snapshot in
-    ``results/service_chaos_metrics.json``.
+    ``results/service_chaos_metrics.json``.  Exits 1 on any invariant
+    violation.
     """
-    from .service.chaos import (
-        render_service_chaos,
-        run_service_campaign,
-        write_service_chaos,
-    )
+    from .campaign import conclude
+    from .service.chaos import run_service_campaign
 
     if args.runs is not None and args.runs < 1:
         raise CLIError(f"--runs must be >= 1, got {args.runs}")
@@ -823,15 +847,7 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
         seed_base=args.fault_seed,
         progress=print,
     )
-    txt, js, mx = write_service_chaos(report, "results")
-    print()
-    print(render_service_chaos(report))
-    print(f"[service chaos report written to {txt}, {js} and {mx}]")
-    if not report.ok:
-        raise CLIError(
-            f"{len(report.violations)} of {report.total} service chaos "
-            "runs violated invariants"
-        )
+    conclude(report, "results")
 
 
 def cmd_perf(args: argparse.Namespace) -> None:

@@ -34,13 +34,10 @@ from .adaptive import (
 )
 from .chaos import (
     CHAOS_SCHEMA,
-    ChaosReport,
     ChaosRun,
     probe_plan,
     random_plan,
-    render_chaos,
     run_campaign,
-    write_chaos,
 )
 from .monitor import HealthMonitor, MonitorTracer
 
@@ -52,11 +49,8 @@ __all__ = [
     "TransferOutcome",
     "adaptive_execute",
     "CHAOS_SCHEMA",
-    "ChaosReport",
     "ChaosRun",
     "probe_plan",
     "random_plan",
-    "render_chaos",
     "run_campaign",
-    "write_chaos",
 ]

@@ -21,8 +21,9 @@ invariants on every run:
 * **byte-identical replay** — re-running the same seed reproduces the
   engine's event stream, the manifest, and the makespan exactly.
 
-Everything is derived from the seed: ``chaos --seed-base K`` is fully
-reproducible, and a failing seed is a standalone repro.  Results land in
+Everything is derived from the seed: ``chaos --fault-seed K`` is fully
+reproducible, and a failing seed is a standalone repro.  The shared
+:mod:`repro.campaign` runner fans the runs out and writes
 ``results/chaos.{txt,json}`` (schema ``repro-chaos/1``).
 """
 
@@ -31,8 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,6 +45,7 @@ from ..faults.plan import (
     NodeFailure,
     NodeStraggler,
 )
+from ..campaign import Campaign, CampaignReport
 from ..machine.params import MachineConfig
 from ..schedules.irregular import schedule_irregular
 from ..schedules.pattern import CommPattern
@@ -54,12 +55,9 @@ from .adaptive import AdaptiveResult, adaptive_execute
 __all__ = [
     "CHAOS_SCHEMA",
     "ChaosRun",
-    "ChaosReport",
     "random_plan",
     "probe_plan",
     "run_campaign",
-    "render_chaos",
-    "write_chaos",
 ]
 
 CHAOS_SCHEMA = "repro-chaos/1"
@@ -153,51 +151,30 @@ class ChaosRun:
     failed_ranks: Tuple[int, ...]
     violations: Tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+
+def _row(r: ChaosRun) -> str:
+    ms = "failed" if r.makespan != r.makespan else f"{r.makespan*1e3:.3f} ms"
+    return (
+        f"{r.seed:>5} {r.nprocs:>3} {r.algorithm:<9} {ms:>12} "
+        f"{r.healthy*1e3:>9.3f} ms {r.bound*1e3:>9.3f} ms  {r.plan}"
+    )
 
 
-@dataclass
-class ChaosReport:
-    """A full campaign's worth of runs."""
-
-    runs: List[ChaosRun] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.runs)
-
-    @property
-    def violations(self) -> List[ChaosRun]:
-        return [r for r in self.runs if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": CHAOS_SCHEMA,
-            "total": self.total,
-            "violations": len(self.violations),
-            "runs": [
-                {
-                    "seed": r.seed,
-                    "nprocs": r.nprocs,
-                    "algorithm": r.algorithm,
-                    "plan": r.plan,
-                    "makespan": r.makespan,
-                    "healthy": r.healthy,
-                    "bound": r.bound,
-                    "digest": r.digest,
-                    "bytes": r.bytes,
-                    "failed_ranks": list(r.failed_ranks),
-                    "violations": list(r.violations),
-                }
-                for r in self.runs
-            ],
-        }
+CHAOS = Campaign(
+    name="chaos",
+    schema=CHAOS_SCHEMA,
+    title="Chaos campaign — seeded random fault plans vs. adaptive executor",
+    header=(
+        f"{'seed':>5} {'N':>3} {'algorithm':<9} {'makespan':>12} "
+        f"{'healthy':>12} {'bound':>12}  plan"
+    ),
+    invariants=(
+        "termination, byte conservation, bounded makespan, "
+        "byte-identical replay"
+    ),
+    row=_row,
+    tag=lambda r: f"N={r.nprocs:<3d} {r.algorithm:<9s}",
+)
 
 
 def _digest(result: AdaptiveResult) -> str:
@@ -374,7 +351,7 @@ def run_campaign(
     seed_base: int = 0,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 0,
-) -> ChaosReport:
+) -> CampaignReport:
     """Run the chaos grid and return every run's verdicts.
 
     ``quick`` shrinks the grid to one machine size and 5 plans per
@@ -383,10 +360,8 @@ def run_campaign(
     ``jobs`` fans runs out over a process pool
     (:class:`repro.service.WorkerPool`); every run is fully specified by
     its spec, so the report — ordering, digests, violations — is
-    identical at any job count.
+    identical at any job count.  ``progress`` gets one line per run.
     """
-    from ..service.pool import WorkerPool
-
     sizes = (16,) if quick else _SIZES
     plans_per_cell = _QUICK_PLANS if quick else _PLANS_PER_CELL
     specs: List[Tuple[int, int, str, float, int]] = []
@@ -400,57 +375,4 @@ def run_campaign(
             for _ in range(plans_per_cell):
                 specs.append((seed, nprocs, algorithm, healthy, message_count))
                 seed += 1
-
-    def _note(run: ChaosRun) -> None:
-        if progress is not None:
-            mark = "ok" if run.ok else "VIOLATION"
-            progress(
-                f"seed {run.seed:4d} N={run.nprocs:<3d} {run.algorithm:<9s}"
-                f" {mark}"
-            )
-
-    report = ChaosReport()
-    with WorkerPool(jobs) as pool:
-        report.runs.extend(pool.map_ordered(_campaign_run, specs, _note))
-    return report
-
-
-def render_chaos(report: ChaosReport) -> str:
-    """Human-readable campaign summary."""
-    lines = [
-        "Chaos campaign — seeded random fault plans vs. adaptive executor",
-        f"runs: {report.total}   violations: {len(report.violations)}",
-        "",
-        f"{'seed':>5} {'N':>3} {'algorithm':<9} {'makespan':>12} "
-        f"{'healthy':>12} {'bound':>12}  plan",
-    ]
-    for r in report.runs:
-        ms = "failed" if r.makespan != r.makespan else f"{r.makespan*1e3:.3f} ms"
-        lines.append(
-            f"{r.seed:>5} {r.nprocs:>3} {r.algorithm:<9} {ms:>12} "
-            f"{r.healthy*1e3:>9.3f} ms {r.bound*1e3:>9.3f} ms  {r.plan}"
-        )
-        for v in r.violations:
-            lines.append(f"      !! {v}")
-    lines.append("")
-    if report.ok:
-        lines.append(
-            "all invariants held: termination, byte conservation, "
-            "bounded makespan, byte-identical replay"
-        )
-    else:
-        lines.append(f"{len(report.violations)} run(s) violated invariants")
-    return "\n".join(lines)
-
-
-def write_chaos(report: ChaosReport, outdir: str) -> Tuple[str, str]:
-    """Write ``chaos.txt`` and ``chaos.json`` under ``outdir``."""
-    os.makedirs(outdir, exist_ok=True)
-    txt = os.path.join(outdir, "chaos.txt")
-    with open(txt, "w") as f:
-        f.write(render_chaos(report) + "\n")
-    js = os.path.join(outdir, "chaos.json")
-    with open(js, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    return txt, js
+    return CHAOS.run(_campaign_run, specs, jobs, progress)

@@ -45,11 +45,8 @@ from .arrivals import (
 )
 from .chaos import (
     SERVICE_CHAOS_SCHEMA,
-    ServiceChaosReport,
     ServiceChaosRun,
-    render_service_chaos,
     run_service_campaign,
-    write_service_chaos,
 )
 from .driver import (
     SERVICE_SCHEMA,
@@ -101,11 +98,8 @@ __all__ = [
     "make_arrivals",
     "register_arrival",
     "SERVICE_CHAOS_SCHEMA",
-    "ServiceChaosReport",
     "ServiceChaosRun",
-    "render_service_chaos",
     "run_service_campaign",
-    "write_service_chaos",
     "SERVICE_SCHEMA",
     "drift_variant",
     "pattern_corpus",

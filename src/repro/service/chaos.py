@@ -28,25 +28,30 @@ mix:
   the number of files the scenario mangled, while torn ``.tmp`` writes
   stay invisible.
 
-Everything is derived from the seed (``repro serve-chaos --seed-base
-K`` replays a campaign); a failing seed is a standalone repro.  Results
-land in ``results/service_chaos.{txt,json}`` plus a merged
+The seed (``repro serve-chaos --fault-seed K`` offsets it) fixes each
+scenario: its kind, machine size, request list, guard configuration and
+the sequence of injection rolls.  It does not fix the thread
+interleaving, so which request draws which roll varies from run to run:
+the responses / errors / injection counts of one seed can differ between
+two campaigns, and the invariants must hold for every interleaving.  The
+shared :mod:`repro.campaign` runner writes
+``results/service_chaos.{txt,json}``; the campaign adds a merged
 ``repro-metrics/1`` snapshot in ``results/service_chaos_metrics.json``
 for ``repro metrics --check``.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 import random
 import tempfile
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..campaign import Campaign, CampaignReport
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import merge_state, metrics_to_json, registry_state
 from ..schedules.pattern import CommPattern
@@ -58,10 +63,7 @@ from .store import ScheduleStore
 __all__ = [
     "SERVICE_CHAOS_SCHEMA",
     "ServiceChaosRun",
-    "ServiceChaosReport",
     "run_service_campaign",
-    "render_service_chaos",
-    "write_service_chaos",
 ]
 
 SERVICE_CHAOS_SCHEMA = "repro-service-chaos/1"
@@ -109,61 +111,31 @@ class ServiceChaosRun:
     breaker_trips: int
     violations: Tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+
+def _row(r: ServiceChaosRun) -> str:
+    err = ",".join(f"{k}:{v}" for k, v in sorted(r.errors.items())) or "-"
+    return (
+        f"{r.seed:>5} {r.kind:<14} {r.nprocs:>3} {r.requests:>4} "
+        f"{r.responses:>5} {err:<28} {sum(r.injected.values()):>4} "
+        f"{r.quarantined:>4} {r.breaker_trips:>4}"
+    )
 
 
-@dataclass
-class ServiceChaosReport:
-    """A full campaign's runs plus the merged service registry."""
-
-    runs: List[ServiceChaosRun] = field(default_factory=list)
-    #: Every scenario scheduler's metrics merged (for the exposition
-    #: artifact; names are all frozen ``service.*`` names).
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-    @property
-    def total(self) -> int:
-        return len(self.runs)
-
-    @property
-    def violations(self) -> List[ServiceChaosRun]:
-        return [r for r in self.runs if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": SERVICE_CHAOS_SCHEMA,
-            "total": self.total,
-            "violations": len(self.violations),
-            "runs": [
-                {
-                    "seed": r.seed,
-                    "kind": r.kind,
-                    "nprocs": r.nprocs,
-                    "workers": r.workers,
-                    "requests": r.requests,
-                    "responses": r.responses,
-                    "errors": dict(sorted(r.errors.items())),
-                    "injected": dict(sorted(r.injected.items())),
-                    "quarantined": r.quarantined,
-                    "breaker_trips": r.breaker_trips,
-                    "violations": list(r.violations),
-                }
-                for r in self.runs
-            ],
-        }
-
-    def metrics_doc(self) -> Dict[str, object]:
-        """Merged registry as a ``repro-metrics/1`` document."""
-        return metrics_to_json(
-            self.metrics,
-            meta={"source": "serve-chaos", "runs": self.total},
-        )
+SERVICE_CHAOS = Campaign(
+    name="service_chaos",
+    schema=SERVICE_CHAOS_SCHEMA,
+    title="Service chaos campaign — seeded faults vs. the guarded scheduler",
+    header=(
+        f"{'seed':>5} {'kind':<14} {'N':>3} {'req':>4} {'resp':>5} "
+        f"{'errors':<28} {'inj':>4} {'quar':>4} {'trip':>4}"
+    ),
+    invariants=(
+        "termination, structured errors, byte-identical serving, counter "
+        "reconciliation, quarantine accounting"
+    ),
+    row=_row,
+    tag=lambda r: f"{r.kind:<14s} N={r.nprocs:<3d} req={r.requests:<3d}",
+)
 
 
 # ----------------------------------------------------------------------
@@ -572,80 +544,30 @@ def run_service_campaign(
     runs: Optional[int] = None,
     seed_base: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-) -> ServiceChaosReport:
+) -> CampaignReport:
     """Run the service chaos campaign sequentially.
 
     ``quick`` shrinks to 14 runs (two per scenario kind, CI-sized); the
     full campaign is 105.  ``runs`` overrides either count.
     ``seed_base`` offsets every scenario seed for disjoint campaigns.
-    Runs are sequential by design: each scenario already drives its own
-    thread burst (and possibly a subprocess pool), and nesting that
-    under another process fan-out would blur the per-run registries the
-    reconciliation invariant depends on.
+    Every scenario scheduler's metrics are merged into the report's
+    ``service_chaos_metrics.json`` artifact (a ``repro-metrics/1``
+    document).  Runs are sequential by design: each scenario already
+    drives its own thread burst (and possibly a subprocess pool), and
+    nesting that under another process fan-out would blur the per-run
+    registries the reconciliation invariant depends on.
     """
     n = runs if runs is not None else (_QUICK_RUNS if quick else _FULL_RUNS)
     if n < 1:
         raise ValueError(f"runs must be >= 1, got {n}")
-    report = ServiceChaosReport()
-    for seed in range(seed_base, seed_base + n):
-        run = _run_scenario(seed, report.metrics)
-        report.runs.append(run)
-        if progress is not None:
-            mark = "ok" if run.ok else "VIOLATION"
-            progress(
-                f"seed {run.seed:4d} {run.kind:<14s} N={run.nprocs:<3d} "
-                f"req={run.requests:<3d} {mark}"
-            )
+    registry = MetricsRegistry()
+    report = SERVICE_CHAOS.run(
+        functools.partial(_run_scenario, registry=registry),
+        range(seed_base, seed_base + n),
+        jobs=0,
+        progress=progress,
+    )
+    report.artifacts["service_chaos_metrics.json"] = metrics_to_json(
+        registry, meta={"source": "serve-chaos", "runs": report.total}
+    )
     return report
-
-
-def render_service_chaos(report: ServiceChaosReport) -> str:
-    """Human-readable campaign summary."""
-    lines = [
-        "Service chaos campaign — seeded faults vs. the guarded scheduler",
-        f"runs: {report.total}   violations: {len(report.violations)}",
-        "",
-        f"{'seed':>5} {'kind':<14} {'N':>3} {'req':>4} {'resp':>5} "
-        f"{'errors':<28} {'inj':>4} {'quar':>4} {'trip':>4}",
-    ]
-    for r in report.runs:
-        err = (
-            ",".join(f"{k}:{v}" for k, v in sorted(r.errors.items()))
-            or "-"
-        )
-        lines.append(
-            f"{r.seed:>5} {r.kind:<14} {r.nprocs:>3} {r.requests:>4} "
-            f"{r.responses:>5} {err:<28} {sum(r.injected.values()):>4} "
-            f"{r.quarantined:>4} {r.breaker_trips:>4}"
-        )
-        for v in r.violations:
-            lines.append(f"      !! {v}")
-    lines.append("")
-    if report.ok:
-        lines.append(
-            "all invariants held: termination, structured errors, "
-            "byte-identical serving, counter reconciliation, quarantine "
-            "accounting"
-        )
-    else:
-        lines.append(f"{len(report.violations)} run(s) violated invariants")
-    return "\n".join(lines)
-
-
-def write_service_chaos(
-    report: ServiceChaosReport, outdir: str
-) -> Tuple[str, str, str]:
-    """Write ``service_chaos.{txt,json}`` + the merged metrics snapshot."""
-    os.makedirs(outdir, exist_ok=True)
-    txt = os.path.join(outdir, "service_chaos.txt")
-    with open(txt, "w") as f:
-        f.write(render_service_chaos(report) + "\n")
-    js = os.path.join(outdir, "service_chaos.json")
-    with open(js, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    mx = os.path.join(outdir, "service_chaos_metrics.json")
-    with open(mx, "w") as f:
-        json.dump(report.metrics_doc(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    return txt, js, mx

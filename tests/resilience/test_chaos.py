@@ -1,16 +1,7 @@
-"""Chaos harness: plan generation, invariants, report round-trip."""
-
-import json
+"""Chaos harness: plan generation, invariants, replay across job counts."""
 
 from repro.faults import FaultPlan
-from repro.resilience import (
-    CHAOS_SCHEMA,
-    probe_plan,
-    random_plan,
-    render_chaos,
-    run_campaign,
-    write_chaos,
-)
+from repro.resilience import probe_plan, random_plan, run_campaign
 from repro.resilience.chaos import _makespan_bound
 
 
@@ -65,7 +56,7 @@ def test_campaign_seed_base_shifts_plans():
 
 def test_probe_plan_runs_one_plan():
     run = probe_plan(random_plan(3, 16))
-    assert run.ok, run.violations
+    assert not run.violations
     assert run.nprocs == 16
 
 
@@ -78,30 +69,9 @@ def test_makespan_bound_scales_with_plan():
     )
 
 
-def test_report_schema_and_files(tmp_path):
-    report = run_campaign(quick=True)
-    txt, js = write_chaos(report, str(tmp_path))
-    doc = json.loads(open(js).read())
-    assert doc["schema"] == CHAOS_SCHEMA
-    assert doc["total"] == 20
-    assert doc["violations"] == 0
-    assert len(doc["runs"]) == 20
-    rendered = open(txt).read()
-    assert "all invariants held" in rendered
-    assert rendered.strip() == render_chaos(report).strip()
-
 def test_campaign_parallel_jobs_byte_identical():
     # The worker-pool path must not change a single digit of the report:
     # specs are computed in the parent, results return in input order.
     serial = run_campaign(quick=True, jobs=0)
     parallel = run_campaign(quick=True, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
-
-
-def test_campaign_progress_order_stable_across_jobs():
-    def collect(jobs):
-        seen = []
-        run_campaign(quick=True, jobs=jobs, progress=seen.append)
-        return seen
-
-    assert collect(0) == collect(2)

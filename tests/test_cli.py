@@ -389,6 +389,11 @@ class TestChaosCLI:
             {"kind": "node_straggler", "rank": 0, "factor": 0.5},
             {"kind": "node_failure", "rank": -1, "at": 1e-3},
             {"kind": "warp_core_breach"},
+            # Valid faults aimed at ranks / links the machine lacks.
+            {"kind": "node_failure", "rank": 99, "at": 1e-3},
+            {"kind": "node_straggler", "rank": 99, "factor": 4.0},
+            {"kind": "link_degrade", "level": 9, "index": 0, "factor": 0.5},
+            {"kind": "link_degrade", "level": 1, "index": 99, "factor": 0.5},
         ],
     )
     @pytest.mark.parametrize("command", ["faults", "chaos"])
@@ -399,6 +404,73 @@ class TestChaosCLI:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "\n" not in err.rstrip("\n")
+
+    def test_chaos_violation_exits_1(self, tmp_path, monkeypatch, capsys):
+        import repro.resilience.chaos as chaos
+
+        def violating(spec):
+            seed, nprocs, algorithm, healthy, _ = spec
+            return chaos.ChaosRun(
+                seed, nprocs, algorithm, "healthy", healthy, healthy,
+                healthy, "", {}, (),
+                violations=("injected",) if seed == 3 else (),
+            )
+
+        monkeypatch.setattr(chaos, "_campaign_run", violating)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--quick"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: 1 of 20 chaos runs violated invariants\n"
+        assert "seed    3 N=16  linear    VIOLATION" in captured.out
+        txt = (tmp_path / "results" / "chaos.txt").read_text()
+        assert "      !! injected" in txt
+        assert txt.endswith("1 run(s) violated invariants\n")
+
+    def test_serve_chaos_writes_three_artifacts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.obs.telemetry import validate_metrics_json
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve-chaos", "--runs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "all invariants held" in out
+        results = tmp_path / "results"
+        txt = (results / "service_chaos.txt").read_text()
+        assert txt.startswith("Service chaos campaign")
+        doc = json.loads((results / "service_chaos.json").read_text())
+        assert doc["schema"] == "repro-service-chaos/1"
+        assert doc["total"] == 2 and doc["violations"] == 0
+        for run in doc["runs"]:
+            assert run["kind"] in txt
+        metrics = json.loads((results / "service_chaos_metrics.json").read_text())
+        assert validate_metrics_json(metrics)[0] > 0
+
+    def test_serve_chaos_violation_exits_1(self, tmp_path, monkeypatch, capsys):
+        import repro.service.chaos as service_chaos
+
+        def violating(seed, registry):
+            return service_chaos.ServiceChaosRun(
+                seed, "worker_kill", 8, 0, 1, 1, {}, {}, 0, 0,
+                violations=("injected",),
+            )
+
+        monkeypatch.setattr(service_chaos, "_run_scenario", violating)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-chaos", "--runs", "2"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err == "error: 2 of 2 service chaos runs violated invariants\n"
+
+    def test_serve_chaos_zero_runs_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve-chaos", "--runs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --runs must be >= 1, got 0\n"
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("command", ["faults", "chaos"])
     def test_missing_plan_file_exits_2(self, tmp_path, capsys, command):
